@@ -1,6 +1,10 @@
 package mlkit
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"yourandvalue/internal/stats"
 )
 
@@ -60,42 +64,63 @@ type Forest struct {
 }
 
 // TrainForest trains a random forest on X with labels y in [0, classes).
+//
+// X is rank-coded once and shared by every tree. All bootstrap samples
+// and tree seeds are drawn first, in the order a sequential loop draws
+// them, and the trees then grow on runtime.GOMAXPROCS(0) workers; the
+// trained forest is bit-identical for any worker count.
 func TrainForest(X [][]float64, y []int, classes int, cfg ForestConfig) (*Forest, error) {
-	if len(X) == 0 || len(X) != len(y) || classes < 2 {
+	if len(X) != len(y) || !validLabels(y, classes) {
 		return nil, ErrBadTrainingData
 	}
-	d := len(X[0])
+	cols, err := newColumns(X)
+	if err != nil {
+		return nil, err
+	}
+	d := cols.d
 	cfg = cfg.withDefaults(d)
 	rng := stats.NewRand(cfg.Seed)
 
 	f := &Forest{Classes: classes, importance: make([]float64, d)}
-	f.Trees = make([]*Tree, 0, cfg.Trees)
+	f.Trees = make([]*Tree, cfg.Trees)
 
-	// The bootstrap buffers are hoisted out of the tree loop and reused;
-	// only the per-tree in-bag rows (one packed bitset for the whole
-	// ensemble, consumed again by the OOB pass below) survive it.
+	// Tree t's bootstrap rows live in samples[t*n:(t+1)*n] and its in-bag
+	// flags in bags[t*n:(t+1)*n]; the flags are consumed again by the
+	// OOB pass below.
 	n := len(X)
-	sampleX := make([][]float64, n)
-	sampleY := make([]int, n)
+	samples := make([]int32, cfg.Trees*n)
 	bags := make([]bool, cfg.Trees*n)
-	for t := 0; t < cfg.Trees; t++ {
-		inBag := bags[t*n : (t+1)*n]
-		for i := 0; i < n; i++ {
+	seeds := make([]int64, cfg.Trees)
+	for t := range seeds {
+		sample, inBag := samples[t*n:(t+1)*n], bags[t*n:(t+1)*n]
+		for i := range sample {
 			j := rng.Intn(n)
-			sampleX[i] = X[j]
-			sampleY[i] = y[j]
+			sample[i] = int32(j)
 			inBag[j] = true
 		}
-		tree, err := TrainTree(sampleX, sampleY, classes, TreeConfig{
-			MaxDepth:    cfg.MaxDepth,
-			MinLeaf:     cfg.MinLeaf,
-			MaxFeatures: cfg.MaxFeatures,
-			Seed:        rng.Int63(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.Trees = append(f.Trees, tree)
+		seeds[t] = rng.Int63()
+	}
+
+	workers := min(runtime.GOMAXPROCS(0), cfg.Trees)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := newTreeBuilder(cols, y, classes, n)
+			for t := int(next.Add(1) - 1); t < cfg.Trees; t = int(next.Add(1) - 1) {
+				f.Trees[t] = b.grow(samples[t*n:(t+1)*n], TreeConfig{
+					MaxDepth:    cfg.MaxDepth,
+					MinLeaf:     cfg.MinLeaf,
+					MaxFeatures: cfg.MaxFeatures,
+					Seed:        seeds[t],
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	for _, tree := range f.Trees {
 		for i, v := range tree.importance {
 			f.importance[i] += v
 		}

@@ -12,6 +12,7 @@ package mlkit
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"yourandvalue/internal/stats"
@@ -68,50 +69,137 @@ type Tree struct {
 	flat       flatOnce
 }
 
-// ErrBadTrainingData reports shape problems.
+// ErrBadTrainingData reports shape problems, out-of-range labels, or a
+// NaN feature value (rank codes cannot order NaN).
 var ErrBadTrainingData = errors.New("mlkit: invalid training data")
 
 // TrainTree induces a CART classifier on X (n×d) with integer class
 // labels y in [0, classes).
 func TrainTree(X [][]float64, y []int, classes int, cfg TreeConfig) (*Tree, error) {
-	if len(X) == 0 || len(X) != len(y) || classes < 2 {
+	if len(X) != len(y) || !validLabels(y, classes) {
 		return nil, ErrBadTrainingData
 	}
-	d := len(X[0])
+	cols, err := newColumns(X)
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int32, len(X))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return newTreeBuilder(cols, y, classes, len(idx)).grow(idx, cfg), nil
+}
+
+func validLabels(y []int, classes int) bool {
+	if classes < 2 {
+		return false
+	}
+	for _, c := range y {
+		if c < 0 || c >= classes {
+			return false
+		}
+	}
+	return true
+}
+
+// columns is the column-major, rank-coded form of a training matrix:
+// codes[f][i] is the rank of X[i][f] among feature f's distinct values,
+// which values[f] lists in increasing order. It is built once per
+// training call and shared read-only by every tree of a forest, so a
+// bootstrap sample is just a slice of row indices and a split search
+// reads one contiguous column instead of chasing row pointers.
+type columns struct {
+	d      int
+	codes  [][]int32
+	values [][]float64
+}
+
+// newColumns rank-codes X, rejecting empty, ragged or NaN input.
+func newColumns(X [][]float64) (*columns, error) {
+	if len(X) == 0 || len(X) > math.MaxInt32 {
+		return nil, ErrBadTrainingData
+	}
+	n, d := len(X), len(X[0])
 	for _, row := range X {
 		if len(row) != d {
 			return nil, ErrBadTrainingData
 		}
 	}
-	for _, c := range y {
-		if c < 0 || c >= classes {
-			return nil, ErrBadTrainingData
+	c := &columns{d: d, codes: make([][]int32, d), values: make([][]float64, d)}
+	slab := make([]int32, n*d)
+	sorted := make([]float64, n)
+	for f := 0; f < d; f++ {
+		for i, row := range X {
+			v := row[f]
+			if math.IsNaN(v) {
+				return nil, ErrBadTrainingData
+			}
+			sorted[i] = v
 		}
+		sort.Float64s(sorted)
+		distinct := 1
+		for i := 1; i < n; i++ {
+			if sorted[i] != sorted[distinct-1] {
+				sorted[distinct] = sorted[i]
+				distinct++
+			}
+		}
+		vals := append([]float64(nil), sorted[:distinct]...)
+		codes := slab[f*n : (f+1)*n : (f+1)*n]
+		for i, row := range X {
+			codes[i] = int32(sort.SearchFloat64s(vals, row[f]))
+		}
+		c.codes[f], c.values[f] = codes, vals
 	}
-	cfg = cfg.withDefaults()
-	b := &treeBuilder{
-		X: X, y: y, classes: classes, cfg: cfg,
-		rng:        stats.NewRand(cfg.Seed),
-		importance: make([]float64, d),
-	}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	root := b.build(idx, 0)
-	return &Tree{Root: root, Classes: classes, importance: b.importance}, nil
+	return c, nil
 }
 
+// treeBuilder grows trees over shared columns. It owns all split-search
+// scratch, sized once for the largest sample it will see, so a forest
+// worker reuses one builder for every tree it grows.
 type treeBuilder struct {
-	X          [][]float64
-	y          []int
-	classes    int
-	cfg        TreeConfig
-	rng        *stats.Rand
+	cols    *columns
+	y       []int
+	classes int
+	cfg     TreeConfig
+	rng     *stats.Rand
+
 	importance []float64
+	perm       []int     // feature order, refilled by PermInto
+	hist       []int     // per-class counts of each distinct code present
+	present    []int32   // the node's distinct codes, increasing
+	vals       []float64 // their values
+	mids       []float64 // candidate thresholds
+	keys       []int     // sort-path code·classes+label keys
+	left       []int
+	right      []int
 }
 
-func (b *treeBuilder) counts(idx []int) []int {
+func newTreeBuilder(cols *columns, y []int, classes, maxRows int) *treeBuilder {
+	return &treeBuilder{
+		cols: cols, y: y, classes: classes,
+		perm:    make([]int, cols.d),
+		hist:    make([]int, maxRows*classes),
+		present: make([]int32, maxRows),
+		vals:    make([]float64, maxRows),
+		mids:    make([]float64, 0, maxRows),
+		keys:    make([]int, 0, maxRows),
+		left:    make([]int, classes),
+		right:   make([]int, classes),
+	}
+}
+
+// grow induces one tree on the rows idx lists (duplicates allowed, as in
+// a bootstrap sample). idx is reordered in place.
+func (b *treeBuilder) grow(idx []int32, cfg TreeConfig) *Tree {
+	b.cfg = cfg.withDefaults()
+	b.rng = stats.NewRand(b.cfg.Seed)
+	b.importance = make([]float64, b.cols.d)
+	root := b.build(idx, 0)
+	return &Tree{Root: root, Classes: b.classes, importance: b.importance}
+}
+
+func (b *treeBuilder) counts(idx []int32) []int {
 	c := make([]int, b.classes)
 	for _, i := range idx {
 		c[b.y[i]]++
@@ -141,24 +229,27 @@ func pure(counts []int) bool {
 	return nonzero <= 1
 }
 
-func (b *treeBuilder) build(idx []int, depth int) *Node {
+func (b *treeBuilder) build(idx []int32, depth int) *Node {
 	counts := b.counts(idx)
 	if pure(counts) || len(idx) < 2*b.cfg.MinLeaf ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) {
 		return &Node{Leaf: true, Counts: counts}
 	}
-	feat, thr, gain, ok := b.bestSplit(idx, counts)
+	feat, thr, cut, gain, ok := b.bestSplit(idx, counts)
 	if !ok {
 		return &Node{Leaf: true, Counts: counts}
 	}
-	var left, right []int
-	for _, i := range idx {
-		if b.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	// Partition in place: rows whose code is ≤ cut are exactly the rows
+	// with X[i][feat] ≤ thr.
+	col := b.cols.codes[feat]
+	nLeft := 0
+	for j, i := range idx {
+		if col[i] <= cut {
+			idx[nLeft], idx[j] = i, idx[nLeft]
+			nLeft++
 		}
 	}
+	left, right := idx[:nLeft], idx[nLeft:]
 	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
 		return &Node{Leaf: true, Counts: counts}
 	}
@@ -172,75 +263,156 @@ func (b *treeBuilder) build(idx []int, depth int) *Node {
 }
 
 // bestSplit searches a random feature subset for the threshold maximizing
-// Gini gain.
-func (b *treeBuilder) bestSplit(idx []int, parentCounts []int) (feat int, thr float64, gain float64, ok bool) {
-	d := len(b.X[0])
+// Gini gain. Per feature it builds the node's class histogram over the
+// distinct values present, takes the midpoints between neighbours
+// (quantile-subsampled to MaxThresholds) as candidates, and sweeps them
+// once in increasing order, accumulating the left counts for every
+// x ≤ t. cut is the largest code on the left of the winning threshold.
+func (b *treeBuilder) bestSplit(idx []int32, parentCounts []int) (feat int, thr float64, cut int32, gain float64, ok bool) {
+	d := b.cols.d
 	nFeat := b.cfg.MaxFeatures
 	if nFeat <= 0 || nFeat > d {
 		nFeat = d
 	}
-	featOrder := b.rng.Perm(d)[:nFeat]
+	b.rng.PermInto(b.perm)
+	featOrder := b.perm[:nFeat]
 
+	C := b.classes
 	parentGini := gini(parentCounts, len(idx))
 	bestGain := 1e-12
 	found := false
 
-	vals := make([]float64, 0, len(idx))
 	for _, f := range featOrder {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, b.X[i][f])
-		}
-		sort.Float64s(vals)
-		if vals[0] == vals[len(vals)-1] {
+		m := b.classHistogram(f, idx)
+		if m < 2 {
 			continue // constant feature on this node
 		}
-		thresholds := candidateThresholds(vals, b.cfg.MaxThresholds)
-		for _, t := range thresholds {
-			leftCounts := make([]int, b.classes)
-			nLeft := 0
-			for _, i := range idx {
-				if b.X[i][f] <= t {
-					leftCounts[b.y[i]]++
-					nLeft++
+		vals := b.vals[:m]
+		for k, code := range b.present[:m] {
+			vals[k] = b.cols.values[f][code]
+		}
+		b.mids = quantileSubsample(distinctMidpoints(b.mids[:0], vals), b.cfg.MaxThresholds)
+		clear(b.left)
+		nLeft, p := 0, 0
+		// The candidates increase (a NaN midpoint of -Inf and +Inf can
+		// only be the sole one, and no value is ≤ it), so one pass over
+		// the histogram serves them all.
+		for _, t := range b.mids {
+			for ; p < m && vals[p] <= t; p++ {
+				for c, v := range b.hist[p*C : (p+1)*C] {
+					b.left[c] += v
+					nLeft += v
 				}
 			}
 			nRight := len(idx) - nLeft
 			if nLeft == 0 || nRight == 0 {
 				continue
 			}
-			rightCounts := make([]int, b.classes)
-			for c := range rightCounts {
-				rightCounts[c] = parentCounts[c] - leftCounts[c]
+			for c := range b.right {
+				b.right[c] = parentCounts[c] - b.left[c]
 			}
 			g := parentGini -
-				(float64(nLeft)*gini(leftCounts, nLeft)+
-					float64(nRight)*gini(rightCounts, nRight))/float64(len(idx))
+				(float64(nLeft)*gini(b.left, nLeft)+
+					float64(nRight)*gini(b.right, nRight))/float64(len(idx))
 			if g > bestGain {
-				bestGain, feat, thr, found = g, f, t, true
+				bestGain, feat, thr, cut, found = g, f, t, b.present[p-1], true
 			}
 		}
 	}
-	return feat, thr, bestGain, found
+	return feat, thr, cut, bestGain, found
+}
+
+// classHistogram fills b.present[:m] with the distinct codes feature f
+// takes on the node's rows, in increasing order, and b.hist[k*classes:]
+// with the per-class row counts of present[k]; it returns m. A code
+// range no wider than the node is counted into a dense histogram and
+// compacted; a wider one (a continuous feature on a small node) sorts
+// code·classes+label keys instead, so the cost stays O(node) either way.
+func (b *treeBuilder) classHistogram(f int, idx []int32) int {
+	C := b.classes
+	col := b.cols.codes[f]
+	// A feature with no more distinct values than the node has rows (the
+	// one-hot S-features) is counted over its whole code range with no
+	// min/max scan; otherwise the node's own range is found first.
+	lo, hi := int32(0), int32(len(b.cols.values[f])-1)
+	if int(hi) >= len(idx) {
+		lo, hi = col[idx[0]], col[idx[0]]
+		for _, i := range idx {
+			lo, hi = min(lo, col[i]), max(hi, col[i])
+		}
+		if lo == hi {
+			return 1
+		}
+	}
+	if width := int(hi-lo) + 1; width <= len(idx) {
+		h := b.hist[:width*C]
+		clear(h)
+		for _, i := range idx {
+			h[int(col[i]-lo)*C+b.y[i]]++
+		}
+		m := 0
+		for k := 0; k < width; k++ {
+			row := h[k*C : (k+1)*C]
+			for _, v := range row {
+				if v != 0 {
+					copy(h[m*C:], row)
+					b.present[m] = lo + int32(k)
+					m++
+					break
+				}
+			}
+		}
+		return m
+	}
+	keys := b.keys[:0]
+	for _, i := range idx {
+		keys = append(keys, int(col[i]-lo)*C+b.y[i])
+	}
+	slices.Sort(keys)
+	b.keys = keys
+	m, prev := 0, -1
+	for _, key := range keys {
+		if k := key / C; k != prev {
+			clear(b.hist[m*C : (m+1)*C])
+			b.present[m] = lo + int32(k)
+			m, prev = m+1, k
+		}
+		b.hist[(m-1)*C+key%C]++
+	}
+	return m
 }
 
 // candidateThresholds returns midpoints between distinct sorted values,
 // subsampled to at most k via quantiles.
 func candidateThresholds(sorted []float64, k int) []float64 {
-	var mids []float64
+	return quantileSubsample(distinctMidpoints(nil, sorted), k)
+}
+
+// distinctMidpoints appends to dst the midpoint between each pair of
+// neighbouring distinct values of sorted.
+func distinctMidpoints(dst, sorted []float64) []float64 {
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] != sorted[i-1] {
-			mids = append(mids, (sorted[i]+sorted[i-1])/2)
+			dst = append(dst, (sorted[i]+sorted[i-1])/2)
 		}
 	}
+	return dst
+}
+
+// quantileSubsample keeps at most k of the increasing candidates mids,
+// evenly spaced by rank from the first (and, for k > 1, to the last).
+// It works in place: the result aliases mids.
+func quantileSubsample(mids []float64, k int) []float64 {
 	if len(mids) <= k {
 		return mids
 	}
-	out := make([]float64, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, mids[i*(len(mids)-1)/(k-1)])
+	if k == 1 {
+		return mids[:1]
 	}
-	return out
+	for i := 0; i < k; i++ {
+		mids[i] = mids[i*(len(mids)-1)/(k-1)]
+	}
+	return mids[:k]
 }
 
 // PredictCounts returns the training-sample class histogram at the leaf x

@@ -207,3 +207,9 @@ func TestCandidateThresholdsCap(t *testing.T) {
 		t.Errorf("small input thresholds: %v", few)
 	}
 }
+
+func TestQuantileSubsampleSingle(t *testing.T) {
+	if got := quantileSubsample([]float64{1, 2, 3}, 1); len(got) != 1 || got[0] != 1 {
+		t.Errorf("k=1 subsample = %v, want [1]", got)
+	}
+}

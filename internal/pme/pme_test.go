@@ -10,6 +10,7 @@ import (
 	"yourandvalue/internal/campaign"
 	"yourandvalue/internal/core"
 	"yourandvalue/internal/rtb"
+	"yourandvalue/internal/store/memstore"
 	"yourandvalue/internal/weblog"
 )
 
@@ -351,6 +352,50 @@ func TestRetrainUnderSampledKeepsTrainablePool(t *testing.T) {
 	}
 	if pool.Len() != 0 {
 		t.Errorf("pool holds %d after successful retrain, want 0", pool.Len())
+	}
+}
+
+// TestRetrainFullPoolShedsUntrainable pins the full-pool trigger: a pool
+// filled to its bound mostly with encrypted contributions must drain on
+// the next tick even though MinSamples is unmet, dropping the encrypted
+// entries and keeping the trainable ones, so Add accepts again.
+func TestRetrainFullPoolShedsUntrainable(t *testing.T) {
+	backends := map[string]func() PoolBackend{
+		"pool":      func() PoolBackend { return NewPool(50) },
+		"storepool": func() PoolBackend { return NewStorePool(memstore.New(), 50) },
+	}
+	for name, newPool := range backends {
+		t.Run(name, func(t *testing.T) {
+			reg := NewRegistry()
+			if _, err := reg.Publish(testModel(t)); err != nil {
+				t.Fatal(err)
+			}
+			pool := newPool()
+			batch := retrainContributions(10)
+			for len(batch) < 60 {
+				batch = append(batch, Contribution{ADX: "MoPub", Encrypted: true})
+			}
+			if acc, drop, _ := pool.Add(batch); acc != 50 || drop != 10 {
+				t.Fatalf("fill: accepted %d dropped %d, want 50 and 10", acc, drop)
+			}
+			if acc, _, _ := pool.Add(retrainContributions(1)); acc != 0 {
+				t.Fatal("full pool accepted a contribution")
+			}
+
+			rt := NewRetrainerWith(reg, pool, RetrainConfig{MinSamples: 40, ForestSize: 5, Seed: 7})
+			if _, err := rt.RetrainOnce(context.Background()); !errors.Is(err, ErrNotEnoughSamples) {
+				t.Fatalf("err = %v, want ErrNotEnoughSamples", err)
+			}
+			if n, tr := pool.Len(), pool.TrainableLen(); n != 10 || tr != 10 {
+				t.Errorf("after tick: Len %d TrainableLen %d, want 10 and 10", n, tr)
+			}
+			if acc, _, _ := pool.Add(retrainContributions(1)); acc != 1 {
+				t.Error("pool still rejects contributions after the full-pool tick")
+			}
+			if rt.Attempts() != 0 || reg.Current().Version != testModel(t).Version {
+				t.Error("an under-sampled drain must not train or publish")
+			}
+		})
 	}
 }
 

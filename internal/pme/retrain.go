@@ -19,7 +19,8 @@ import (
 type RetrainConfig struct {
 	// MinSamples is the count trigger: a retrain happens only once at
 	// least this many trainable (cleartext, priced) contributions have
-	// pooled. Default 500; values below Classes*10 are raised to it —
+	// pooled. A full pool is drained regardless, to shed untrainable
+	// entries. Default 500; values below Classes*10 are raised to it —
 	// the discretizer needs populated classes.
 	MinSamples int
 	// Interval is how often the loop re-checks the trigger (default 30s).
@@ -139,18 +140,22 @@ func (r *Retrainer) Run(ctx context.Context) error {
 // the time-shift coefficient, so every retrained version stays
 // wire-compatible with deployed clients.
 //
-// Every retrain attempt consumes the pool's untrainable (encrypted)
+// The pool drains when MinSamples trainable entries have pooled or when
+// it is full. Every drain consumes the pool's untrainable (encrypted)
 // entries: they can never contribute a label, so holding them would let
 // a mostly-encrypted fleet fill the pool with dead weight and wedge the
-// loop behind a bound that never clears. On failure only the trainable
-// samples return to the pool.
+// loop behind a bound that never clears. When the drained batch is too
+// small to train on, or training fails, only the trainable samples
+// return to the pool.
 func (r *Retrainer) RetrainOnce(ctx context.Context) (*Snapshot, error) {
 	base := r.src.Current()
 	if base == nil {
 		return nil, ErrNoModel
 	}
 	// Cheap trigger check: no drain, no scan, no encode on an idle tick.
-	if r.pool.TrainableLen() < r.cfg.MinSamples {
+	// A pool at its bound drains even short of MinSamples, so untrainable
+	// entries cannot hold it full and reject every later contribution.
+	if r.pool.TrainableLen() < r.cfg.MinSamples && r.pool.Len() < r.pool.Max() {
 		return nil, ErrNotEnoughSamples
 	}
 	batch := r.pool.Drain()

@@ -184,3 +184,14 @@ func (g *Rand) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Perm returns a random permutation of [0, n).
 func (g *Rand) Perm(n int) []int { return g.r.Perm(n) }
+
+// PermInto writes a random permutation of [0, len(dst)) into dst. It
+// consumes the stream exactly as Perm(len(dst)) does, so a hot loop can
+// reuse one buffer without shifting any later draw.
+func (g *Rand) PermInto(dst []int) {
+	for i := range dst {
+		j := g.r.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
+}

@@ -164,3 +164,26 @@ func TestPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for _, seed := range []int64{1, 6, 42, -7} {
+		a, b := NewRand(seed), NewRand(seed)
+		for _, n := range []int{0, 1, 2, 10, 89, 300} {
+			want := a.Perm(n)
+			got := make([]int, n)
+			for i := range got {
+				got[i] = -1 // stale contents must not leak through
+			}
+			b.PermInto(got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d n %d: PermInto = %v, Perm = %v", seed, n, got, want)
+				}
+			}
+		}
+		// Both streams must stand at the same point afterwards.
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("seed %d: streams diverged after PermInto (%d vs %d)", seed, x, y)
+		}
+	}
+}
