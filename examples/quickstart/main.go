@@ -13,9 +13,9 @@
 // And to hammer a live PME server with a synthetic client fleet —
 // ETag model polls, contribution batches, estimate queries — use the
 // scaletest harness (add -addr to target a running server; without it
-// loadgen trains a small model and serves it in-process):
+// scaletest trains a small model and serves it in-process):
 //
-//	go run ./cmd/loadgen -clients 200 -duration 15s
+//	go run ./cmd/scaletest -strategy mixed -clients 200 -duration 15s
 package main
 
 import (

@@ -11,7 +11,6 @@ import (
 	"yourandvalue/internal/analyzer"
 	"yourandvalue/internal/geoip"
 	"yourandvalue/internal/iab"
-	"yourandvalue/internal/mlkit"
 	"yourandvalue/internal/nurl"
 	"yourandvalue/internal/trafficclass"
 	"yourandvalue/internal/useragent"
@@ -208,18 +207,16 @@ func BatchEstimate(res *analyzer.Result, model *Model) map[int]*UserCost {
 const estimateChunk = 128
 
 // batchEstimator is one worker's reusable estimate scratch: encrypted
-// impressions are encoded into a fixed row matrix and classified in
-// chunks through the flat forest's tree-major PredictInto, with the
-// per-class representative CPMs precomputed. Accumulation happens in
+// impressions are encoded into a fixed row matrix and estimated in
+// chunks through Model.EstimateRowsInto. Accumulation happens in
 // stream order at each flush, so totals are bit-identical to the
 // impression-at-a-time path. Not safe for concurrent use — each worker
 // owns one.
 type batchEstimator struct {
 	model *Model
-	flat  *mlkit.FlatForest
-	reps  []float64 // per-class representative CPM
 	rows  [][]float64
 	cls   []int
+	cpm   []float64
 	n     int // pending rows
 }
 
@@ -233,16 +230,12 @@ func newBatchEstimator(model *Model) *batchEstimator {
 	backing := make([]float64, estimateChunk*dim)
 	be := &batchEstimator{
 		model: model,
-		flat:  model.FlatForest(),
 		rows:  make([][]float64, estimateChunk),
 		cls:   make([]int, estimateChunk),
+		cpm:   make([]float64, estimateChunk),
 	}
 	for i := range be.rows {
 		be.rows[i] = backing[i*dim : (i+1)*dim]
-	}
-	be.reps = make([]float64, be.flat.Classes)
-	for c := range be.reps {
-		be.reps[c] = model.Binner.Representative(c)
 	}
 	return be
 }
@@ -257,15 +250,15 @@ func (be *batchEstimator) add(imp analyzer.Impression, uc *UserCost) {
 	}
 }
 
-// flush classifies the pending rows in one batch and accumulates their
-// representative CPMs into uc, preserving stream order.
+// flush estimates the pending rows in one batch and accumulates their
+// CPMs into uc, preserving stream order.
 func (be *batchEstimator) flush(uc *UserCost) {
 	if be.n == 0 {
 		return
 	}
-	be.flat.PredictInto(be.cls[:be.n], be.rows[:be.n])
-	for _, c := range be.cls[:be.n] {
-		uc.EncryptedCPM += be.reps[c]
+	be.model.EstimateRowsInto(be.cpm, be.cls, be.rows[:be.n])
+	for _, v := range be.cpm[:be.n] {
+		uc.EncryptedCPM += v
 	}
 	be.n = 0
 }

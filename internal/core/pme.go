@@ -39,11 +39,6 @@ type Model struct {
 	// stale flat form.
 	flatForest *mlkit.FlatForest
 	flatTree   *mlkit.FlatForest
-	// quantForest is the eagerly quantized engine of a compact-blob
-	// decode (models with a pointer Forest cache theirs on the forest,
-	// see QuantizedForest). A plain pointer, so CloneWithVersion's
-	// struct copy shares it safely.
-	quantForest *mlkit.QuantizedForest
 }
 
 // ModelMetrics is the §5.4 metric bundle in serializable form.
@@ -82,18 +77,6 @@ func (m *Model) FlatForest() *mlkit.FlatForest {
 	return m.flatForest
 }
 
-// QuantizedForest returns the model's 8-byte-per-node inference
-// engine, or nil when the forest is outside the quantized encoding's
-// exact range (callers stay on FlatForest; predictions are
-// bit-identical either way). Cached on the pointer forest like Flat;
-// compact-blob decodes quantize eagerly at decode time.
-func (m *Model) QuantizedForest() *mlkit.QuantizedForest {
-	if m.Forest != nil {
-		return m.Forest.Quantized()
-	}
-	return m.quantForest
-}
-
 // FlatTree is FlatForest for the representative single tree.
 func (m *Model) FlatTree() *mlkit.FlatForest {
 	if m.Tree != nil {
@@ -108,6 +91,22 @@ func (m *Model) FlatTree() *mlkit.FlatForest {
 // magnitude cheaper).
 func (m *Model) EstimateCPM(x []float64) float64 {
 	return m.Binner.Representative(m.FlatForest().Predict(x))
+}
+
+// EstimateRowsInto estimates every encoded S vector of rows into
+// dst[:len(rows)], using cls[:len(rows)] as class scratch: one
+// tree-major FlatForest.PredictInto over the whole set, then each
+// row's class representative. Row for row it is bit-identical to
+// EstimateCPM; the batch walk keeps each tree cache-hot across the
+// set instead of re-fetching the forest per vector. It is the one
+// rows→CPM kernel every batched estimate path calls. dst and cls must
+// have length >= len(rows).
+func (m *Model) EstimateRowsInto(dst []float64, cls []int, rows [][]float64) {
+	n := len(rows)
+	m.FlatForest().PredictInto(cls[:n], rows)
+	for i, c := range cls[:n] {
+		dst[i] = m.Binner.Representative(c)
+	}
 }
 
 // EstimateCPMTree is the single-tree variant clients can run when the

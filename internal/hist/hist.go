@@ -1,8 +1,8 @@
 // Package hist provides the repo's shared log-bucketed latency
 // histogram: fixed layout, no per-sample allocation, mergeable across
-// goroutine-private copies. It started life inside internal/stream's
-// load harness and was extracted so server-side middleware metrics and
-// client-side load reports aggregate latencies identically.
+// goroutine-private copies. Server-side middleware metrics and the
+// scaletest client fleet's reports share it, so both aggregate
+// latencies identically.
 package hist
 
 import (

@@ -8,9 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"yourandvalue/internal/core"
 	"yourandvalue/internal/hist"
-	"yourandvalue/internal/mlkit"
 )
 
 // Batcher coalesces concurrent estimate requests into shared tree-major
@@ -50,8 +48,7 @@ import (
 //
 // All methods are safe for concurrent use.
 type Batcher struct {
-	cfg   BatcherConfig
-	quant bool // route flushes through the quantized engine when available
+	cfg BatcherConfig
 
 	// slots holds one token per permitted concurrent flush; a flush runs
 	// on whichever goroutine acquired the token (enqueuing caller, the
@@ -202,13 +199,7 @@ func (b *Batcher) estimate(ctx context.Context, snap *Snapshot, dst []float64, i
 	req := getReq(n, m.Features.Dim())
 	req.snap = snap
 	for i := range items {
-		it := &items[i]
-		hour, weekday := it.timeFeatures()
-		m.Features.EncodeStringsInto(req.rows[i], core.StringContext{
-			ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
-			Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
-			Hour: hour, Weekday: weekday,
-		})
+		m.Features.EncodeStringsInto(req.rows[i], items[i].stringContext())
 	}
 	req.enq = time.Now()
 	if err := b.enqueue(req); err != nil {
@@ -338,12 +329,12 @@ func (b *Batcher) flush(reqs []*batchReq, rows int, reason flushReason) {
 	b.putBuffer(reqs)
 }
 
-// flushScratch recycles one flush's merged matrix, class buffer and
-// representative table.
+// flushScratch recycles one flush's merged matrix and its class and
+// CPM buffers.
 type flushScratch struct {
 	rows [][]float64
 	cls  []int
-	reps []float64
+	cpm  []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(flushScratch) }}
@@ -357,46 +348,20 @@ func (b *Batcher) flushGroup(snap *Snapshot, group []*batchReq) {
 	n := len(merged)
 	if cap(sc.cls) < n {
 		sc.cls = make([]int, n)
+		sc.cpm = make([]float64, n)
 	}
-	cls := sc.cls[:n]
-
-	m := snap.Model
-	eng := b.engine(m)
-	eng.PredictInto(cls, merged)
-
-	classes := eng.NumClasses()
-	if cap(sc.reps) < classes {
-		sc.reps = make([]float64, classes)
-	}
-	reps := sc.reps[:classes]
-	for c := range reps {
-		reps[c] = m.Binner.Representative(c)
-	}
+	cpm := sc.cpm[:n]
+	snap.Model.EstimateRowsInto(cpm, sc.cls, merged)
 
 	off := 0
 	for _, r := range group {
-		for i := range r.rows {
-			r.out[i] = reps[cls[off]]
-			off++
-		}
+		off += copy(r.out, cpm[off:])
 		close(r.done)
 		r.release()
 	}
 
-	sc.rows, sc.cls, sc.reps = merged[:0], cls[:0], reps[:0]
+	sc.rows = merged[:0]
 	scratchPool.Put(sc)
-}
-
-// engine picks the forest walk for one snapshot: the quantized form
-// when routing is enabled and the model is exactly representable, else
-// the flat form. Predictions are bit-identical either way.
-func (b *Batcher) engine(m *core.Model) mlkit.BatchClassifier {
-	if b.quant {
-		if qf := m.QuantizedForest(); qf != nil {
-			return qf
-		}
-	}
-	return m.FlatForest()
 }
 
 // Close stops accepting work, drains everything already queued (every

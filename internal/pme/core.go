@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-
-	"yourandvalue/internal/core"
-	"yourandvalue/internal/mlkit"
 )
 
 // DefaultMaxBatch bounds one EstimateBatch call; unbounded workloads
@@ -19,11 +16,10 @@ const DefaultMaxBatch = 4096
 // fronted by a cross-request inference Batcher. Safe for concurrent
 // use.
 type Core struct {
-	registry  *Registry
-	pool      PoolBackend
-	maxBatch  atomic.Int64
-	batcher   *Batcher
-	quantized bool
+	registry *Registry
+	pool     PoolBackend
+	maxBatch atomic.Int64
+	batcher  *Batcher
 }
 
 // CoreOption configures a Core at construction.
@@ -34,15 +30,6 @@ type CoreOption func(*Core)
 // bit-identical to the unbatched path.
 func WithBatcher(cfg BatcherConfig) CoreOption {
 	return func(c *Core) { c.batcher = newBatcher(cfg) }
-}
-
-// WithQuantizedInference routes forest walks through the 8-byte-node
-// mlkit.QuantizedForest when the model is exactly representable in it
-// (always true for the binned features this repo trains on), halving
-// the traversal working set. Predictions are bit-identical; models
-// outside the exact range silently stay on the flat engine.
-func WithQuantizedInference() CoreOption {
-	return func(c *Core) { c.quantized = true }
 }
 
 // NewCore builds the service over a registry and a contribution pool
@@ -58,9 +45,6 @@ func NewCore(reg *Registry, pool PoolBackend, opts ...CoreOption) *Core {
 	c.maxBatch.Store(DefaultMaxBatch)
 	for _, o := range opts {
 		o(c)
-	}
-	if c.batcher != nil {
-		c.batcher.quant = c.quantized
 	}
 	return c
 }
@@ -147,11 +131,7 @@ func (c *Core) OpenEstimateSession(ctx context.Context) (*EstimateSession, error
 	}
 	// vec is allocated lazily by Estimate: batched chunk estimates never
 	// touch it.
-	return &EstimateSession{
-		snap:  snap,
-		b:     c.batcher,
-		quant: c.quantized,
-	}, nil
+	return &EstimateSession{snap: snap, b: c.batcher}, nil
 }
 
 // Contribute implements Service.
@@ -169,58 +149,28 @@ func (c *Core) Contribute(ctx context.Context, batch []Contribution) (Contribute
 // items flow through, and a concurrent registry hot-swap never changes
 // the version mid-stream. Not safe for concurrent use.
 type EstimateSession struct {
-	snap  *Snapshot
-	vec   []float64
-	b     *Batcher
-	quant bool
-
-	// eng is the forest walk the session settled on (flat, or quantized
-	// when routed and representable), resolved once per session.
-	eng mlkit.BatchClassifier
+	snap *Snapshot
+	vec  []float64
+	b    *Batcher
 
 	// Batch scratch (EstimateInto), built on first use: an encode matrix
-	// flushed chunk-at-a-time through the engine's tree-major walk,
-	// plus the per-class representative CPMs.
+	// estimated chunk-at-a-time through Model.EstimateRowsInto.
 	rows [][]float64
 	cls  []int
-	reps []float64
 }
 
 // Snapshot returns the pinned model snapshot.
 func (s *EstimateSession) Snapshot() *Snapshot { return s.snap }
 
-// engine resolves the session's forest walk once: quantized when
-// routing is on and the pinned model is exactly representable, flat
-// otherwise. Bit-identical either way.
-func (s *EstimateSession) engine() mlkit.BatchClassifier {
-	if s.eng == nil {
-		m := s.snap.Model
-		if s.quant {
-			if qf := m.QuantizedForest(); qf != nil {
-				s.eng = qf
-			}
-		}
-		if s.eng == nil {
-			s.eng = m.FlatForest()
-		}
-	}
-	return s.eng
-}
-
 // Estimate encodes one item into the reused scratch vector through the
 // shared zero-allocation detect.Encoder path and returns its CPM.
 func (s *EstimateSession) Estimate(it *EstimateItem) float64 {
-	hour, weekday := it.timeFeatures()
 	m := s.snap.Model
 	if s.vec == nil {
 		s.vec = make([]float64, m.Features.Dim())
 	}
-	m.Features.EncodeStringsInto(s.vec, core.StringContext{
-		ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
-		Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
-		Hour: hour, Weekday: weekday,
-	})
-	return m.Binner.Representative(s.engine().Predict(s.vec))
+	m.Features.EncodeStringsInto(s.vec, it.stringContext())
+	return m.EstimateCPM(s.vec)
 }
 
 // estimateBatchChunk bounds EstimateInto's encode matrix: items are
@@ -228,13 +178,12 @@ func (s *EstimateSession) Estimate(it *EstimateItem) float64 {
 const estimateBatchChunk = 256
 
 // EstimateInto estimates every item into dst[:len(items)], encoding a
-// chunk of items and classifying the whole chunk through the forest
-// engine's batch path — item-for-item identical to Estimate, but the
+// chunk of items and estimating the whole chunk through
+// Model.EstimateRowsInto — item-for-item identical to Estimate, but the
 // forest is walked tree-major across the chunk instead of being
 // re-fetched per item. dst must have length >= len(items).
 func (s *EstimateSession) EstimateInto(dst []float64, items []EstimateItem) {
 	m := s.snap.Model
-	eng := s.engine()
 	if s.rows == nil {
 		dim := m.Features.Dim()
 		backing := make([]float64, estimateBatchChunk*dim)
@@ -243,26 +192,13 @@ func (s *EstimateSession) EstimateInto(dst []float64, items []EstimateItem) {
 			s.rows[i] = backing[i*dim : (i+1)*dim]
 		}
 		s.cls = make([]int, estimateBatchChunk)
-		s.reps = make([]float64, eng.NumClasses())
-		for c := range s.reps {
-			s.reps[c] = m.Binner.Representative(c)
-		}
 	}
 	for base := 0; base < len(items); base += estimateBatchChunk {
 		k := min(estimateBatchChunk, len(items)-base)
 		for i := 0; i < k; i++ {
-			it := &items[base+i]
-			hour, weekday := it.timeFeatures()
-			m.Features.EncodeStringsInto(s.rows[i], core.StringContext{
-				ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
-				Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
-				Hour: hour, Weekday: weekday,
-			})
+			m.Features.EncodeStringsInto(s.rows[i], items[base+i].stringContext())
 		}
-		eng.PredictInto(s.cls[:k], s.rows[:k])
-		for i := 0; i < k; i++ {
-			dst[base+i] = s.reps[s.cls[i]]
-		}
+		m.EstimateRowsInto(dst[base:base+k], s.cls, s.rows[:k])
 	}
 }
 

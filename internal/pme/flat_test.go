@@ -51,12 +51,7 @@ func TestPublishFlatBlob(t *testing.T) {
 	vec := make([]float64, back.Features.Dim())
 	for i, it := range flatItems(40) {
 		want := sess.Estimate(&it)
-		hour, weekday := it.timeFeatures()
-		back.Features.EncodeStringsInto(vec, core.StringContext{
-			ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
-			Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
-			Hour: hour, Weekday: weekday,
-		})
+		back.Features.EncodeStringsInto(vec, it.stringContext())
 		if got := back.EstimateCPM(vec); got != want {
 			t.Fatalf("item %d: flat-blob model estimates %v, serving model %v", i, got, want)
 		}
@@ -138,13 +133,7 @@ func TestHotSwapServesFreshFlat(t *testing.T) {
 	// flat cache.
 	vec := make([]float64, dim)
 	for i := range items {
-		hour, weekday := items[i].timeFeatures()
-		snap2.Model.Features.EncodeStringsInto(vec, core.StringContext{
-			ADX: items[i].ADX, City: items[i].City, OS: items[i].OS,
-			Device: items[i].Device, Origin: items[i].Origin,
-			Slot: items[i].Slot, IAB: items[i].IAB,
-			Hour: hour, Weekday: weekday,
-		})
+		snap2.Model.Features.EncodeStringsInto(vec, items[i].stringContext())
 		want := snap2.Model.Binner.Representative(forest.Predict(vec))
 		if res.EstimatesCPM[i] != want {
 			t.Fatalf("item %d: estimate %v, new forest says %v — stale flat cache?", i, res.EstimatesCPM[i], want)

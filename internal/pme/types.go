@@ -3,6 +3,8 @@ package pme
 import (
 	"errors"
 	"time"
+
+	"yourandvalue/internal/core"
 )
 
 // Contribution is one anonymous price observation a client donates. It
@@ -58,13 +60,19 @@ type EstimateItem struct {
 	Weekday  int       `json:"weekday,omitempty"`
 }
 
-// timeFeatures resolves the hour/weekday pair: the Observed timestamp
-// wins when present, otherwise the explicit fields apply.
-func (it *EstimateItem) timeFeatures() (hour, weekday int) {
+// stringContext is the item's encoder input. The Observed timestamp
+// supplies hour/weekday when present, otherwise the explicit fields
+// apply.
+func (it *EstimateItem) stringContext() core.StringContext {
+	hour, weekday := it.Hour, it.Weekday
 	if !it.Observed.IsZero() {
-		return it.Observed.Hour(), int(it.Observed.Weekday())
+		hour, weekday = it.Observed.Hour(), int(it.Observed.Weekday())
 	}
-	return it.Hour, it.Weekday
+	return core.StringContext{
+		ADX: it.ADX, City: it.City, OS: it.OS, Device: it.Device,
+		Origin: it.Origin, Slot: it.Slot, IAB: it.IAB,
+		Hour: hour, Weekday: weekday,
+	}
 }
 
 // EstimateResult carries one CPM estimate per request item, in order,

@@ -49,14 +49,6 @@ func (c *Client) FetchModelContext(ctx context.Context) (*core.Model, error) {
 	return core.DecodeModel(buf)
 }
 
-// FetchModel downloads and decodes the current model.
-//
-// Deprecated: use FetchModelContext (or FetchModelV2 for conditional
-// fetches); this wrapper cannot be cancelled.
-func (c *Client) FetchModel() (*core.Model, error) {
-	return c.FetchModelContext(context.Background())
-}
-
 // VersionContext fetches the advertised model version without the body,
 // honoring ctx cancellation and deadlines.
 func (c *Client) VersionContext(ctx context.Context) (int, error) {
@@ -79,14 +71,6 @@ func (c *Client) VersionContext(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	return v.Version, nil
-}
-
-// Version fetches the advertised model version without the body.
-//
-// Deprecated: use VersionContext (or VersionV2 for the ETag-bearing
-// variant); this wrapper cannot be cancelled.
-func (c *Client) Version() (int, error) {
-	return c.VersionContext(context.Background())
 }
 
 // ContributeContext uploads anonymous observations over the v1 route,
@@ -122,12 +106,4 @@ func (c *Client) ContributeContext(ctx context.Context, batch []Contribution) (i
 		return out.Accepted, ErrPoolFull
 	}
 	return out.Accepted, nil
-}
-
-// Contribute uploads anonymous observations.
-//
-// Deprecated: use ContributeContext (or ContributeV2 for full
-// accounting); this wrapper cannot be cancelled.
-func (c *Client) Contribute(batch []Contribution) (int, error) {
-	return c.ContributeContext(context.Background(), batch)
 }

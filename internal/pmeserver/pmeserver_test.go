@@ -58,7 +58,8 @@ func TestModelDistributionRoundTrip(t *testing.T) {
 	defer ts.Close()
 
 	client := NewClient(ts.URL)
-	got, err := client.FetchModel()
+	ctx := context.Background()
+	got, err := client.FetchModelContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestModelDistributionRoundTrip(t *testing.T) {
 	if got.EstimateCPM(probe) != m.EstimateCPM(probe) {
 		t.Error("fetched model predicts differently")
 	}
-	v, err := client.Version()
+	v, err := client.VersionContext(ctx)
 	if err != nil || v != m.Version {
 		t.Errorf("version = %d, %v", v, err)
 	}
@@ -85,17 +86,18 @@ func TestNoModel(t *testing.T) {
 	defer ts.Close()
 
 	client := NewClient(ts.URL)
-	if _, err := client.FetchModel(); err == nil {
+	ctx := context.Background()
+	if _, err := client.FetchModelContext(ctx); err == nil {
 		t.Error("fetch should fail before a model is set")
 	}
-	if _, err := client.Version(); err == nil {
+	if _, err := client.VersionContext(ctx); err == nil {
 		t.Error("version should fail before a model is set")
 	}
 	// And succeed after SetModel.
 	if err := srv.SetModel(testModel(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.FetchModel(); err != nil {
+	if _, err := client.FetchModelContext(ctx); err != nil {
 		t.Errorf("fetch after SetModel: %v", err)
 	}
 	if srv.Model() == nil {
@@ -108,6 +110,7 @@ func TestContribution(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := NewClient(ts.URL)
+	ctx := context.Background()
 
 	batch := []Contribution{
 		{Observed: time.Now(), ADX: "MoPub", PriceCPM: 0.8, City: "Madrid"},
@@ -116,7 +119,7 @@ func TestContribution(t *testing.T) {
 		{ADX: "MoPub", PriceCPM: 0},      // invalid: cleartext without price
 		{ADX: "MoPub", PriceCPM: 999999}, // invalid: implausible
 	}
-	accepted, err := client.Contribute(batch)
+	accepted, err := client.ContributeContext(ctx, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +185,7 @@ func TestConcurrentAccess(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := NewClient(ts.URL)
+	ctx := context.Background()
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -191,9 +195,9 @@ func TestConcurrentAccess(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				switch i % 3 {
 				case 0:
-					_, _ = client.FetchModel()
+					_, _ = client.FetchModelContext(ctx)
 				case 1:
-					_, _ = client.Contribute([]Contribution{
+					_, _ = client.ContributeContext(ctx, []Contribution{
 						{ADX: "MoPub", PriceCPM: 0.5},
 					})
 				default:

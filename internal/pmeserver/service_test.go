@@ -269,8 +269,8 @@ func TestMetricsMiddleware(t *testing.T) {
 	}
 }
 
-// TestV1ContextClients: the context-aware v1 variants honor
-// cancellation and behave identically to the deprecated wrappers.
+// TestV1ContextClients: the v1 client methods serve the model, version
+// and contributions and honor cancellation.
 func TestV1ContextClients(t *testing.T) {
 	srv, err := New(testModel(t))
 	if err != nil {

@@ -222,7 +222,7 @@ func TestContributePoolOverflow(t *testing.T) {
 	}
 
 	// The v1 client surfaces the same condition as ErrPoolFull with counts.
-	if n, err := client.Contribute(mk(1)); !errors.Is(err, ErrPoolFull) || n != 0 {
+	if n, err := client.ContributeContext(ctx, mk(1)); !errors.Is(err, ErrPoolFull) || n != 0 {
 		t.Errorf("v1 client full-pool = (%d, %v), want (0, ErrPoolFull)", n, err)
 	}
 

@@ -39,7 +39,7 @@ type clientEnv struct {
 	budget   *atomic.Int64
 	geo      *geoip.DB
 	registry *nurl.Registry
-	tracer   *Tracer
+	tracer   *trace.Tracer
 }
 
 // runner wraps slot idx's client loop as a harness Runner.
@@ -112,7 +112,7 @@ func (e *clientEnv) runClient(ctx context.Context, idx int, id string, st *clien
 		var contributions []pmeserver.Contribution
 		var items []pmeserver.EstimateItem
 		if prof.NeedsEvents() {
-			batch := stream.NextBatch(ctx, e.events, cfg.BatchSize)
+			batch := nextBatch(ctx, e.events, cfg.BatchSize)
 			if len(batch) == 0 {
 				return // source drained or ctx cancelled
 			}
@@ -281,6 +281,35 @@ func (e *clientEnv) estimateBurst(ctx context.Context, pc *pmeserver.Client, roo
 		}
 	}
 	return true
+}
+
+// nextBatch pulls up to n events: blocking for the first, then draining
+// whatever is immediately available, so slow sources still make
+// progress and fast sources fill whole batches. It returns nil once the
+// channel closes or ctx is cancelled.
+func nextBatch(ctx context.Context, events <-chan stream.Event, n int) []stream.Event {
+	batch := make([]stream.Event, 0, n)
+	select {
+	case ev, ok := <-events:
+		if !ok {
+			return nil
+		}
+		batch = append(batch, ev)
+	case <-ctx.Done():
+		return nil
+	}
+	for len(batch) < n {
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, ev)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // due reports whether a cadence fires on this cycle (cadence 0 never

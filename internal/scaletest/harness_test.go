@@ -130,6 +130,17 @@ func TestWorkloadRegistry(t *testing.T) {
 	}
 }
 
+// TestRunConfigValidation: missing essentials are rejected up front,
+// before any client starts.
+func TestRunConfigValidation(t *testing.T) {
+	if _, err := Run(context.Background(), Config{Strategy: "mixed"}); err == nil {
+		t.Error("run without a BaseURL accepted")
+	}
+	if _, err := Run(context.Background(), Config{Strategy: "nope", BaseURL: "http://x"}); err == nil {
+		t.Error("run with an unknown strategy accepted")
+	}
+}
+
 // TestExitCode: hard errors beat SLO violations beat OK.
 func TestExitCode(t *testing.T) {
 	ok := &Result{SLO: &SLOReport{}}

@@ -14,6 +14,7 @@ import (
 	"yourandvalue/internal/geoip"
 	"yourandvalue/internal/hist"
 	"yourandvalue/internal/nurl"
+	"yourandvalue/internal/obs/trace"
 	"yourandvalue/internal/scenario"
 	"yourandvalue/internal/stream"
 )
@@ -23,12 +24,8 @@ import (
 type Config struct {
 	// BaseURL is the pmeserver root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Strategy names the workload profile (see Strategies). Ignored when
-	// Profile is set directly.
+	// Strategy names the workload profile (see Strategies).
 	Strategy string
-	// Profile overrides the named-strategy lookup — the hook
-	// cmd/loadgen's compatibility mix uses.
-	Profile *Profile
 	// Clients is the fleet size (default 1).
 	Clients int
 	// Scenario names the simulated world feeding the clients (default
@@ -54,8 +51,8 @@ type Config struct {
 	// PerClientTimeout wraps every client run in its own timeout when
 	// positive (TimeoutExecution over Exec).
 	PerClientTimeout time.Duration
-	// Tracer records request-level spans when set (see trace.go).
-	Tracer *Tracer
+	// Tracer records request-level spans when set.
+	Tracer *trace.Tracer
 	// ChurnMaxLifetime bounds churned client lifetimes in cycles for
 	// churning profiles (default 24). Lifetimes are uniform in
 	// [0, ChurnMaxLifetime]; zero-length generations are legal.
@@ -74,9 +71,6 @@ type Config struct {
 
 // profile resolves the effective workload profile.
 func (c *Config) profile() (Profile, error) {
-	if c.Profile != nil {
-		return *c.Profile, nil
-	}
 	name := c.Strategy
 	if name == "" {
 		name = "mixed"

@@ -3,9 +3,14 @@ package scaletest
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"yourandvalue/internal/pme"
+	"yourandvalue/internal/pmeserver"
 )
 
 // Shared live fixture: one self-hosted pmeserver (small campaign-trained
@@ -206,5 +211,127 @@ func TestRunRampKneePlateau(t *testing.T) {
 	}
 	if rep.KneeClients != 1 || rep.KneeReason == "" {
 		t.Errorf("knee = %d (%q), want the first step flagged", rep.KneeClients, rep.KneeReason)
+	}
+}
+
+// TestRunHundredClientSmoke: a fleet of 100 concurrent mixed clients
+// against an in-process pmeserver must complete a budgeted run with
+// zero request errors, exercise every endpoint, and print a latency
+// report. The server may retain slightly more contributions than the
+// clients counted (a response cut off by the deadline is stored but
+// never reported), never fewer.
+func TestRunHundredClientSmoke(t *testing.T) {
+	srv, err := pmeserver.New(liveHost(t).Server.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cfg := testCfg(t, "mixed", 100, 400)
+	cfg.BaseURL = ts.URL
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Clients != 100 || res.Ops == 0 {
+		t.Fatalf("clients=%d ops=%d", res.Clients, res.Ops)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("%d request errors (result:\n%s)", res.Errors, res)
+	}
+	if res.Contributed == 0 || res.Estimated == 0 || res.ModelPolls == 0 {
+		t.Errorf("an endpoint went unexercised: %+v", res)
+	}
+	if got := len(srv.Contributions()); int64(got) < res.Contributed {
+		t.Errorf("server retained %d contributions, clients counted %d accepted", got, res.Contributed)
+	}
+	out := res.String()
+	for _, want := range []string{"100 clients", "p50=", "p99=", "contribute"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunPoolFullCounted: a saturated contribution pool must surface as
+// counted 507s, not as request errors.
+func TestRunPoolFullCounted(t *testing.T) {
+	srv, err := pmeserver.New(liveHost(t).Server.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetMaxPool(1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cfg := testCfg(t, "contribute-heavy", 8, 64)
+	cfg.BaseURL = ts.URL
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("pool-full runs must not count request errors, got %d", res.Errors)
+	}
+	if res.PoolFull == 0 {
+		t.Fatal("expected 507 pool-full responses")
+	}
+}
+
+// TestRunStreamHeavyHotSwap: the stream-heavy fleet drives
+// POST /v2/estimate/stream while a publisher goroutine hot-swaps model
+// versions through the registry — zero request errors, every estimate
+// served, the stream histogram populated and the batch estimate
+// endpoint untouched.
+func TestRunStreamHeavyHotSwap(t *testing.T) {
+	model := liveHost(t).Server.Model()
+	registry := pme.NewRegistry()
+	first, err := registry.Publish(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := pmeserver.New(nil, pmeserver.WithRegistry(registry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	swapCtx, stopSwap := context.WithCancel(context.Background())
+	swapDone := make(chan struct{})
+	go func() {
+		defer close(swapDone)
+		for swapCtx.Err() == nil {
+			if _, err := registry.Publish(model); err != nil {
+				t.Errorf("publish during load: %v", err)
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+
+	cfg := testCfg(t, "stream-heavy", 32, 192)
+	cfg.BaseURL = ts.URL
+	res, err := Run(context.Background(), cfg)
+	stopSwap()
+	<-swapDone
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("%d errors during concurrent hot-swap (result:\n%s)", res.Errors, res)
+	}
+	if res.Estimated == 0 {
+		t.Fatal("stream-heavy run returned no estimates")
+	}
+	if res.Endpoints["stream"].Count() == 0 {
+		t.Error("stream histogram recorded nothing")
+	}
+	if res.Endpoints["estimate"].Count() != 0 {
+		t.Error("stream-heavy must not touch the batch estimate endpoint")
+	}
+	if cur := registry.Current().Version; cur <= first.Version {
+		t.Errorf("hot-swapper never advanced the version (current %d)", cur)
 	}
 }

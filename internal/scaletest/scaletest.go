@@ -9,11 +9,8 @@
 // that drive a live pmeserver the way a deployed extension fleet would,
 // per-strategy SLO gates (slo.go), a concurrency ramp driver that finds
 // the knee of the throughput curve (ramp.go), a persisted BENCH_*.json
-// artifact schema (bench.go), and a dependency-free span recorder for
-// request-level debugging (trace.go).
-//
-// It supersedes stream.RunLoad and cmd/loadgen, which survive as a
-// deprecated API and a thin compatibility wrapper respectively.
+// artifact schema (bench.go), and request-level spans recorded through
+// internal/obs/trace.
 package scaletest
 
 import (

@@ -9,9 +9,8 @@ import (
 // Profile shapes one synthetic client's operation cycle: which requests
 // it issues and how often, in cycles. Each cycle consumes one event
 // batch from the scenario stream (when any op needs events) and issues
-// the ops whose cadence divides the cycle number — the same cadence
-// scheme stream.RunLoad used, generalized so one client loop serves
-// every named strategy.
+// the ops whose cadence divides the cycle number, so one client loop
+// serves every named strategy.
 type Profile struct {
 	// Name is the strategy name ("estimate-heavy", ...).
 	Name string

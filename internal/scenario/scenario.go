@@ -4,7 +4,7 @@
 // policy, encrypted-pair adoption curve), the population (device/OS
 // mix, bot-traffic share, whales) and the traffic shape — selectable by
 // name from every entry point (Pipeline.WithScenario, cmd/experiments
-// -scenario, cmd/loadgen -scenario, stream sources).
+// -scenario, cmd/scaletest -scenario, stream sources).
 //
 // The paper (Papadopoulos et al., IMC 2017) measured exactly one world:
 // a 2015 second-price marketplace over Spanish mobile users. The
